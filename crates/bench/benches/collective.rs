@@ -24,7 +24,6 @@ use nectar::config::Config;
 use nectar::topology::{ClosSpec, Topology};
 use nectar::world::World;
 use nectar_sim::{SimDuration, SimTime};
-use nectar_stack::collective::{CollectiveConfig, CollectiveEngine};
 use nectar_wire::collective::CombineOp;
 
 const SEED: u64 = 0xc011ec7;
@@ -86,13 +85,6 @@ fn run_shape(cfg: &FleetCfg, shape: Shape) -> ShapeResult {
         Shape::Tree => CollectiveGroup::tree(1, members, FANOUT),
         Shape::Chain => CollectiveGroup::chain(1, members),
     };
-    // a lossless sweep never needs the straggler timer; push the RTO
-    // past the deepest chain so spurious retransmits can't pollute the
-    // latency figure (uniform across both shapes for a fair race)
-    let coll_cfg = CollectiveConfig { rto: SimDuration::from_millis(500), max_retries: 20 };
-    for &m in &group.members {
-        world.cabs[m as usize].proto.coll = CollectiveEngine::new(coll_cfg);
-    }
     let handles =
         deploy_barrier_fleet(&mut world, &group, CombineOp::Sum, EPOCHS, |i| i as u64 + 1);
 

@@ -20,10 +20,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use nectar_stack::collective::{CollectiveAction, CollectiveConfig, CollectiveEngine};
+use nectar_stack::collective::{CollectiveAction, CollectiveEngine};
 use nectar_stack::icmp::{IcmpEngine, IcmpInput};
 use nectar_stack::ip::{IpEndpoint, IpInput};
-use nectar_stack::reqresp::{RrClient, RrClientAction, RrConfig, RrServer, RrServerAction};
+use nectar_stack::reqresp::{RrClient, RrClientAction, RrServer, RrServerAction};
 use nectar_stack::rmp::{RmpConfig, RmpReceiver, RmpRecvAction, RmpSendAction, RmpSender};
 use nectar_stack::tcp::{SocketId, TcpConfig, TcpEvent, TcpStack, TcpStackEvent};
 use nectar_stack::udp::{UdpEndpoint, UdpInput};
@@ -105,7 +105,6 @@ pub struct ProtoState {
     pub rmp_cfg: RmpConfig,
     pub rr_clients: HashMap<u16, RrClient>,
     pub rr_servers: HashMap<u16, RrServer>,
-    pub rr_cfg: RrConfig,
     pub tcp_conns: HashMap<SocketId, TcpConn>,
     /// Listening port → accept-notification mailbox.
     pub tcp_accepts: HashMap<u16, MboxId>,
@@ -193,11 +192,10 @@ pub fn init_protocols(
         rmp_cfg: RmpConfig { max_fragment: mtu, ..Default::default() },
         rr_clients: HashMap::new(),
         rr_servers: HashMap::new(),
-        rr_cfg: RrConfig::default(),
         tcp_conns: HashMap::new(),
         tcp_accepts: HashMap::new(),
         ping_mbox: None,
-        coll: CollectiveEngine::new(CollectiveConfig::default()),
+        coll: CollectiveEngine::new(),
         coll_mbox: None,
         ip_in_thread: false,
         mtu,
@@ -353,7 +351,6 @@ pub fn run_rmp_send_actions(cx: &mut Cx<'_>, acts: Vec<RmpSendAction>) {
 /// or 0 when the call was rejected (the reply mailbox is bound to a
 /// different server with calls still outstanding).
 pub fn rr_call(cx: &mut Cx<'_>, req: SendReq, payload: &[u8]) -> u32 {
-    let cfg = cx.proto.rr_cfg;
     let now = cx.now();
     // A reply mailbox binds to exactly one (cab, service mailbox):
     // replies carry only (reply_mbox, req_id), so calls to two servers
@@ -373,7 +370,7 @@ pub fn rr_call(cx: &mut Cx<'_>, req: SendReq, payload: &[u8]) -> u32 {
         .proto
         .rr_clients
         .entry(req.src_mbox)
-        .or_insert_with(|| RrClient::new(req.dst_cab, req.dst_mbox, req.src_mbox, cfg));
+        .or_insert_with(|| RrClient::new(req.dst_cab, req.dst_mbox, req.src_mbox));
     let mut acts = Vec::new();
     let id = client.call(now, payload.to_vec(), &mut acts);
     run_rr_client_actions(cx, req.src_mbox, acts);

@@ -52,6 +52,13 @@ pub struct Config {
     /// CPU accounting (`ctx_switches`, `cpu_busy_ns`), so flipping this
     /// changes same-seed metric snapshots. It never changes what is
     /// delivered — only when nodes are (re)polled.
+    ///
+    /// It stays opt-in because the stale polls it removes are part of
+    /// the modeled CAB schedule, not only simulator overhead. Turned
+    /// on, the repo benchmark's `rpc` workload runs ~14× faster on the
+    /// host but its simulated request latency rises past the
+    /// benchmark's bounds (p50 +11–15 %, p99 +17–31 %, seeds 1–3);
+    /// DESIGN.md §9 has the measurements.
     pub coalesce_wakeups: bool,
     /// Batched host I/O, part 1: coalesce doorbell interrupts. When a
     /// doorbell is already in flight toward a node (scheduled but not

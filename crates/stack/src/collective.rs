@@ -31,6 +31,13 @@
 //! epoch answers a straggler's stale `Arrive` by resending the cached
 //! release to that child only. Per-epoch gather state means a straggler
 //! from epoch N can never count toward epoch N+1.
+//!
+//! The timer is measured, not configured: each group keeps an
+//! [`RttEstimator`] fed with Arrive-send → Release-receipt samples
+//! (Karn's rule: none from a retransmitted Arrive), so a barrier whose
+//! round trip outgrows [`RTO_MIN`] stops retransmitting spuriously.
+//! A timeout doubles the group's RTO up to [`RTO_MAX`], and the
+//! backed-off value carries into later epochs until a clean sample.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -39,20 +46,18 @@ use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::collective::{CollectiveHeader, CollectiveKind, CombineOp, COLLECTIVE_HEADER_LEN};
 use nectar_wire::{FrameBuf, WireError};
 
-/// Engine tunables.
-#[derive(Clone, Copy, Debug)]
-pub struct CollectiveConfig {
-    /// Retransmit interval for an unacknowledged `Arrive`.
-    pub rto: SimDuration,
-    /// `Arrive` retransmissions before the epoch is abandoned.
-    pub max_retries: u32,
-}
+use crate::rtt::RttEstimator;
 
-impl Default for CollectiveConfig {
-    fn default() -> Self {
-        CollectiveConfig { rto: SimDuration::from_millis(2), max_retries: 20 }
-    }
-}
+/// Initial and minimum `Arrive` retransmission timeout. A group whose
+/// measured RTO stays below it keeps exactly this deadline.
+pub const RTO_MIN: SimDuration = SimDuration::from_millis(2);
+/// Backoff ceiling. It sits above the slowest lossless round trip the
+/// collective sweep measures (the 2048-member chain, ~180 ms), so every
+/// group's backoff eventually outgrows its round trip and yields a
+/// clean sample.
+pub const RTO_MAX: SimDuration = SimDuration::from_secs(1);
+/// `Arrive` retransmissions before the epoch is abandoned.
+pub const MAX_RETRIES: u32 = 20;
 
 /// One node's position in a group's distribution/combining tree.
 #[derive(Clone, Debug)]
@@ -139,6 +144,8 @@ struct PendingUp {
     epoch: u32,
     op: CombineOp,
     value: u64,
+    /// First transmission, the start of the round-trip sample.
+    sent_at: SimTime,
     deadline: SimTime,
     retries: u32,
 }
@@ -155,20 +162,21 @@ struct Group {
     next_release: u32,
     /// The latest release message, kept to answer stragglers.
     last_release: Option<(u32, FrameBuf)>,
+    /// Arrive → Release round trips, persisting across epochs.
+    rtt: RttEstimator,
 }
 
 /// The per-CAB collective engine: group table plus per-group gather,
 /// retransmit, and release-cache state.
 #[derive(Debug, Default)]
 pub struct CollectiveEngine {
-    cfg: CollectiveConfig,
     groups: BTreeMap<u16, Group>,
     stats: CollectiveStats,
 }
 
 impl CollectiveEngine {
-    pub fn new(cfg: CollectiveConfig) -> Self {
-        CollectiveEngine { cfg, groups: BTreeMap::new(), stats: CollectiveStats::default() }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     pub fn stats(&self) -> &CollectiveStats {
@@ -186,6 +194,7 @@ impl CollectiveEngine {
                 pending_up: None,
                 next_release: 0,
                 last_release: None,
+                rtt: RttEstimator::new(RTO_MIN, RTO_MIN, RTO_MAX),
             },
         );
     }
@@ -269,7 +278,7 @@ impl CollectiveEngine {
         match hdr.kind {
             CollectiveKind::Multicast => self.on_multicast(&hdr, msg, out),
             CollectiveKind::Arrive => self.on_arrive(now, src_cab, &hdr, out),
-            CollectiveKind::Release => self.on_release(&hdr, msg, out),
+            CollectiveKind::Release => self.on_release(now, &hdr, msg, out),
         }
         Ok(())
     }
@@ -338,6 +347,7 @@ impl CollectiveEngine {
 
     fn on_release(
         &mut self,
+        now: SimTime,
         hdr: &CollectiveHeader,
         msg: &FrameBuf,
         out: &mut Vec<CollectiveAction>,
@@ -350,7 +360,13 @@ impl CollectiveEngine {
             self.stats.duplicate_releases += 1;
             return;
         }
-        g.pending_up = None;
+        if let Some(p) = g.pending_up.take() {
+            // Karn's rule: after a retransmit the release may answer
+            // either copy, so the round trip is unknown
+            if p.epoch == hdr.epoch && p.retries == 0 {
+                g.rtt.sample(now.saturating_since(p.sent_at));
+            }
+        }
         g.gathers.remove(&hdr.epoch);
         for &child in &g.topo.children {
             out.push(CollectiveAction::Replicate { dst_cab: child, packet: msg.clone() });
@@ -409,8 +425,14 @@ impl CollectiveEngine {
                     CollectiveHeader { kind: CollectiveKind::Arrive, op, group, epoch, value }
                         .build(&[]);
                 out.push(CollectiveAction::Transmit { dst_cab: parent, packet });
-                g.pending_up =
-                    Some(PendingUp { epoch, op, value, deadline: now + self.cfg.rto, retries: 0 });
+                g.pending_up = Some(PendingUp {
+                    epoch,
+                    op,
+                    value,
+                    sent_at: now,
+                    deadline: now + g.rtt.rto(),
+                    retries: 0,
+                });
                 self.stats.arrives_tx += 1;
             }
         }
@@ -418,21 +440,22 @@ impl CollectiveEngine {
 
     /// Retransmit overdue upstream `Arrive`s.
     pub fn poll(&mut self, now: SimTime, out: &mut Vec<CollectiveAction>) {
-        let CollectiveEngine { cfg, groups, stats } = self;
+        let CollectiveEngine { groups, stats } = self;
         for (&gid, g) in groups.iter_mut() {
             let Some(p) = &mut g.pending_up else { continue };
             if now < p.deadline {
                 continue;
             }
             p.retries += 1;
-            if p.retries > cfg.max_retries {
+            if p.retries > MAX_RETRIES {
                 let epoch = p.epoch;
                 g.pending_up = None;
                 g.gathers.remove(&epoch);
                 stats.failures += 1;
                 out.push(CollectiveAction::Failed { group: gid, epoch });
             } else {
-                p.deadline = now + cfg.rto;
+                g.rtt.back_off();
+                p.deadline = now + g.rtt.rto();
                 let parent = g.topo.parent.expect("pending_up implies a parent");
                 let packet = CollectiveHeader {
                     kind: CollectiveKind::Arrive,
@@ -477,10 +500,7 @@ mod tests {
         ];
         let mut nodes = BTreeMap::new();
         for (id, parent, children) in topo {
-            let mut e = CollectiveEngine::new(CollectiveConfig {
-                rto: SimDuration::from_micros(500),
-                max_retries: 3,
-            });
+            let mut e = CollectiveEngine::new();
             e.install_group(GROUP, parent, children.to_vec());
             nodes.insert(id, e);
         }
@@ -632,10 +652,10 @@ mod tests {
 
         // leaf 3's timer fires and the retransmit completes the barrier
         let mut out = Vec::new();
-        nodes.get_mut(&3).unwrap().poll(t(600), &mut out);
+        nodes.get_mut(&3).unwrap().poll(t(2_000), &mut out);
         assert_eq!(nodes[&3].stats().arrive_retransmits, 1);
         let local =
-            pump(&mut nodes, t(600), out.into_iter().map(|a| (3, a)).collect(), &mut Vec::new());
+            pump(&mut nodes, t(2_000), out.into_iter().map(|a| (3, a)).collect(), &mut Vec::new());
         for id in 0..7u16 {
             assert!(
                 local.contains(&(
@@ -665,9 +685,9 @@ mod tests {
         // leaf 5 retransmits its Arrive; node 2 answers from the
         // release cache without disturbing epoch 1 state
         let mut out = Vec::new();
-        nodes.get_mut(&5).unwrap().poll(t(600), &mut out);
+        nodes.get_mut(&5).unwrap().poll(t(2_000), &mut out);
         let local =
-            pump(&mut nodes, t(600), out.into_iter().map(|a| (5, a)).collect(), &mut Vec::new());
+            pump(&mut nodes, t(2_000), out.into_iter().map(|a| (5, a)).collect(), &mut Vec::new());
         assert!(
             local.contains(&(5, CollectiveAction::Completed { group: GROUP, epoch: 0, value: 21 })),
             "straggler must complete with the same combined value"
@@ -678,23 +698,105 @@ mod tests {
     #[test]
     fn retries_exhaust_to_failure() {
         let mut nodes = tree7();
-        let mut out = Vec::new();
-        nodes.get_mut(&3).unwrap().arrive(t(0), GROUP, CombineOp::None, 0, &mut out);
-        assert_eq!(nodes[&3].next_wakeup(), Some(t(500)));
+        let leaf = nodes.get_mut(&3).unwrap();
+        leaf.arrive(t(0), GROUP, CombineOp::None, 0, &mut Vec::new());
+        let mut gaps = Vec::new();
         let mut now = t(0);
-        let mut failed = false;
-        for _ in 0..10 {
-            now += SimDuration::from_millis(1);
+        while let Some(at) = leaf.next_wakeup() {
+            gaps.push(at.saturating_since(now));
+            now = at;
             let mut out = Vec::new();
-            nodes.get_mut(&3).unwrap().poll(now, &mut out);
+            leaf.poll(now, &mut out);
             if out.contains(&CollectiveAction::Failed { group: GROUP, epoch: 0 }) {
-                failed = true;
                 break;
             }
         }
-        assert!(failed);
-        assert_eq!(nodes[&3].stats().failures, 1);
-        assert_eq!(nodes[&3].next_wakeup(), None);
+        // RTO_MIN, doubled per timeout until it pins at RTO_MAX
+        let ms = SimDuration::from_millis;
+        assert_eq!(gaps[..4], [RTO_MIN, ms(4), ms(8), ms(16)]);
+        assert_eq!(gaps.len() as u32, MAX_RETRIES + 1);
+        assert_eq!(*gaps.last().unwrap(), RTO_MAX);
+        assert_eq!(leaf.stats().arrive_retransmits, MAX_RETRIES as u64);
+        assert_eq!(leaf.stats().failures, 1);
+        assert_eq!(leaf.next_wakeup(), None);
+    }
+
+    /// One epoch of a leaf → root pair whose release comes back `rtt`
+    /// after the leaf's Arrive, with the leaf's timer firing in
+    /// between. Returns the epoch's first Arrive deadline and the
+    /// retransmits it cost.
+    fn pair_epoch(
+        leaf: &mut CollectiveEngine,
+        root: &mut CollectiveEngine,
+        start: SimTime,
+        rtt: SimDuration,
+    ) -> (SimTime, u64) {
+        let before = leaf.stats().arrive_retransmits;
+        let mut up = Vec::new();
+        leaf.arrive(start, GROUP, CombineOp::None, 0, &mut up);
+        let deadline = leaf.next_wakeup().expect("Arrive armed");
+        let released = start + rtt;
+        while let Some(at) = leaf.next_wakeup().filter(|&at| at < released) {
+            leaf.poll(at, &mut up);
+        }
+        let mut down = Vec::new();
+        for act in up {
+            let CollectiveAction::Transmit { packet, .. } = act else { panic!("{act:?}") };
+            root.on_packet(released, 1, &FrameBuf::new(packet), &mut down).unwrap();
+        }
+        // the root arrives last, so its release answers the leaf
+        root.arrive(released, GROUP, CombineOp::None, 0, &mut down);
+        let mut done = Vec::new();
+        for act in down {
+            if let CollectiveAction::Replicate { packet, .. } = act {
+                leaf.on_packet(released, 0, &packet, &mut done).unwrap();
+            }
+        }
+        assert!(done.iter().any(|a| matches!(a, CollectiveAction::Completed { .. })));
+        (deadline, leaf.stats().arrive_retransmits - before)
+    }
+
+    /// The measured RTO across epochs of a fixed round trip: per epoch,
+    /// (first Arrive deadline after the epoch's start, retransmits).
+    fn measured_epochs(rtt_us: u64, epochs: usize) -> Vec<(u64, u64)> {
+        let mut root = CollectiveEngine::new();
+        root.install_group(GROUP, None, vec![1]);
+        let mut leaf = CollectiveEngine::new();
+        leaf.install_group(GROUP, Some(0), Vec::new());
+        let rtt = SimDuration::from_micros(rtt_us);
+        (0..epochs as u64)
+            .map(|e| {
+                let start = t(e * rtt_us);
+                let (deadline, rexmits) = pair_epoch(&mut leaf, &mut root, start, rtt);
+                (deadline.saturating_since(start).as_micros(), rexmits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn short_round_trip_keeps_the_floor_deadline() {
+        // 3 × 500 µs after the first sample is still under RTO_MIN
+        assert_eq!(measured_epochs(500, 4), vec![(2_000, 0); 4]);
+    }
+
+    #[test]
+    fn long_round_trip_backs_off_once_then_measures() {
+        // epoch 0 times out at 2 ms and backs off to 4 ms; the release
+        // answers a retransmitted Arrive, so it yields no sample and
+        // epoch 1 starts from the backed-off 4 ms, not 3 + 4 × 1.5 ms.
+        // Epoch 1 samples 3 ms cleanly: RTO = 9 ms, then 7.5 ms.
+        assert_eq!(measured_epochs(3_000, 4), vec![(2_000, 1), (4_000, 0), (9_000, 0), (7_500, 0)]);
+    }
+
+    #[test]
+    fn backoff_persists_until_a_clean_sample() {
+        // 5 ms outlasts one doubling (2 → 4 ms): epoch 1 times out
+        // again and backs off to 8 ms, and only epoch 2's clean sample
+        // sets RTO = 5 + 4 × 2.5 = 15 ms
+        assert_eq!(
+            measured_epochs(5_000, 4),
+            vec![(2_000, 1), (4_000, 1), (8_000, 0), (15_000, 0)]
+        );
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //! * [`conform`] — the conformance oracle: always-on protocol invariant
 //!   monitors for simulation builds plus the packetdrill-style `.pkt`
 //!   script interpreter (DESIGN.md §11).
+//! * [`rtt`] — the RFC 6298 round-trip estimator behind every measured
+//!   retransmission timeout (TCP sockets, collective groups).
 //! * [`collective`] — CAB-resident collectives: multicast fan-out down
 //!   source-rooted trees, log-depth tree barrier, and reduction
 //!   combining at interior CABs (DESIGN.md §16).
@@ -40,5 +42,6 @@ pub mod icmp;
 pub mod ip;
 pub mod reqresp;
 pub mod rmp;
+pub mod rtt;
 pub mod tcp;
 pub mod udp;

@@ -16,18 +16,11 @@ use std::collections::HashMap;
 use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::nectar::{ReqRespHeader, ReqRespKind};
 
-/// Client tunables.
-#[derive(Clone, Copy, Debug)]
-pub struct RrConfig {
-    pub rto: SimDuration,
-    pub max_retries: u32,
-}
-
-impl Default for RrConfig {
-    fn default() -> Self {
-        RrConfig { rto: SimDuration::from_millis(5), max_retries: 10 }
-    }
-}
+/// Client retransmission interval: constant, like RMP's, since the
+/// CAB-to-CAB round trip is microseconds and loss is rare.
+pub const RTO: SimDuration = SimDuration::from_millis(5);
+/// Request retransmissions before the call fails.
+pub const MAX_RETRIES: u32 = 10;
 
 /// Client-side actions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,19 +56,17 @@ pub struct RrClient {
     server_cab: u16,
     server_mbox: u16,
     reply_mbox: u16,
-    cfg: RrConfig,
     pending: HashMap<u32, PendingCall>,
     next_id: u32,
     stats: RrClientStats,
 }
 
 impl RrClient {
-    pub fn new(server_cab: u16, server_mbox: u16, reply_mbox: u16, cfg: RrConfig) -> Self {
+    pub fn new(server_cab: u16, server_mbox: u16, reply_mbox: u16) -> Self {
         RrClient {
             server_cab,
             server_mbox,
             reply_mbox,
-            cfg,
             pending: HashMap::new(),
             next_id: 1,
             stats: RrClientStats::default(),
@@ -114,8 +105,7 @@ impl RrClient {
         let req_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         let packet = self.request_packet(req_id, &payload);
-        self.pending
-            .insert(req_id, PendingCall { payload, deadline: now + self.cfg.rto, retries: 0 });
+        self.pending.insert(req_id, PendingCall { payload, deadline: now + RTO, retries: 0 });
         self.stats.calls += 1;
         out.push(RrClientAction::Transmit { dst_cab: self.server_cab, packet });
         req_id
@@ -154,10 +144,10 @@ impl RrClient {
         for (&id, call) in &mut self.pending {
             if now >= call.deadline {
                 call.retries += 1;
-                if call.retries > self.cfg.max_retries {
+                if call.retries > MAX_RETRIES {
                     failed.push(id);
                 } else {
-                    call.deadline = now + self.cfg.rto;
+                    call.deadline = now + RTO;
                     resend.push(id);
                 }
             }
@@ -325,10 +315,6 @@ mod tests {
         SimTime::from_nanos(us * 1000)
     }
 
-    fn cfg() -> RrConfig {
-        RrConfig { rto: SimDuration::from_micros(500), max_retries: 3 }
-    }
-
     fn parse(packet: &[u8]) -> (ReqRespHeader, Vec<u8>) {
         let (h, p) = ReqRespHeader::parse(packet).unwrap();
         (h, p.to_vec())
@@ -336,7 +322,7 @@ mod tests {
 
     #[test]
     fn call_execute_reply_roundtrip() {
-        let mut client = RrClient::new(2, 10, 11, cfg());
+        let mut client = RrClient::new(2, 10, 11);
         let mut server = RrServer::new();
         let mut cacts = Vec::new();
         let req_id = client.call(t(0), b"add 2 2".to_vec(), &mut cacts);
@@ -371,13 +357,13 @@ mod tests {
 
     #[test]
     fn lost_request_retransmitted_and_deduplicated() {
-        let mut client = RrClient::new(2, 10, 11, cfg());
+        let mut client = RrClient::new(2, 10, 11);
         let mut server = RrServer::new();
         let mut cacts = Vec::new();
         client.call(t(0), b"q".to_vec(), &mut cacts);
-        // request lost; client retries after rto
+        // request lost; client retries after RTO
         cacts.clear();
-        client.poll(t(600), &mut cacts);
+        client.poll(t(5_000), &mut cacts);
         assert_eq!(cacts.len(), 1);
         assert_eq!(client.stats().retransmits, 1);
         let RrClientAction::Transmit { packet, .. } = &cacts[0] else { panic!() };
@@ -396,7 +382,7 @@ mod tests {
 
     #[test]
     fn lost_reply_resent_from_cache_without_reexecution() {
-        let mut client = RrClient::new(2, 10, 11, cfg());
+        let mut client = RrClient::new(2, 10, 11);
         let mut server = RrServer::new();
         let mut cacts = Vec::new();
         let req_id = client.call(t(0), b"increment".to_vec(), &mut cacts);
@@ -407,7 +393,7 @@ mod tests {
         server.reply(1, 11, req_id, b"done".to_vec(), &mut Vec::new()); // reply lost
                                                                         // client retransmits the request
         let mut cacts = Vec::new();
-        client.poll(t(600), &mut cacts);
+        client.poll(t(5_000), &mut cacts);
         let RrClientAction::Transmit { packet, .. } = &cacts[0] else { panic!() };
         let (hdr2, payload2) = parse(packet);
         let mut sacts = Vec::new();
@@ -421,7 +407,7 @@ mod tests {
 
     #[test]
     fn duplicate_reply_ignored_but_reacked() {
-        let mut client = RrClient::new(2, 10, 11, cfg());
+        let mut client = RrClient::new(2, 10, 11);
         let mut server = RrServer::new();
         let mut cacts = Vec::new();
         let req_id = client.call(t(0), b"x".to_vec(), &mut cacts);
@@ -442,28 +428,30 @@ mod tests {
 
     #[test]
     fn retries_exhaust_to_failure() {
-        let mut client = RrClient::new(2, 10, 11, cfg());
+        let mut client = RrClient::new(2, 10, 11);
         let mut acts = Vec::new();
         let req_id = client.call(t(0), b"void".to_vec(), &mut acts);
+        // a constant schedule: one retransmit every RTO, then failure
         let mut now = t(0);
-        let mut failed = false;
-        for _ in 0..10 {
-            now += SimDuration::from_millis(1);
+        for _ in 0..MAX_RETRIES {
+            now += RTO;
+            assert_eq!(client.next_wakeup(), Some(now));
             acts.clear();
             client.poll(now, &mut acts);
-            if acts.contains(&RrClientAction::Failed { req_id }) {
-                failed = true;
-                break;
-            }
+            assert!(!acts.contains(&RrClientAction::Failed { req_id }));
         }
-        assert!(failed);
+        assert_eq!(client.stats().retransmits, MAX_RETRIES as u64);
+        now += RTO;
+        acts.clear();
+        client.poll(now, &mut acts);
+        assert!(acts.contains(&RrClientAction::Failed { req_id }));
         assert_eq!(client.outstanding(), 0);
         assert_eq!(client.stats().failures, 1);
     }
 
     #[test]
     fn concurrent_calls_tracked_independently() {
-        let mut client = RrClient::new(2, 10, 11, cfg());
+        let mut client = RrClient::new(2, 10, 11);
         let mut server = RrServer::new();
         let mut acts = Vec::new();
         let a = client.call(t(0), b"a".to_vec(), &mut acts);

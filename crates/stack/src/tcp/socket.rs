@@ -3,12 +3,13 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use nectar_sim::{SimDuration, SimTime};
+use nectar_sim::SimTime;
 use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader, MAX_WSCALE};
 
 use super::cc::{self, CcState, CongestionControl};
 use super::{AbortReason, TcpConfig, TcpEvent, TcpSocketStats, TcpState};
 use crate::conform;
+use crate::rtt::RttEstimator;
 
 /// Default MSS assumed when the peer's SYN carried no MSS option
 /// (RFC 1122 §4.2.2.6).
@@ -83,9 +84,7 @@ pub struct TcpSocket {
     rcv_wscale: u8,
 
     // --- RTT estimation (Jacobson/Karels + Karn) ---
-    srtt_ns: Option<i64>,
-    rttvar_ns: i64,
-    rto: SimDuration,
+    rtt: RttEstimator,
     /// (end-sequence, send time) of the segment being timed.
     rtt_sample: Option<(SeqNum, SimTime)>,
     backoff: bool,
@@ -147,9 +146,7 @@ impl TcpSocket {
             wscale_negotiated: false,
             snd_wscale: 0,
             rcv_wscale: 0,
-            srtt_ns: None,
-            rttvar_ns: 0,
-            rto: cfg.rto_initial,
+            rtt: RttEstimator::new(cfg.rto_initial, cfg.rto_min, cfg.rto_max),
             rtt_sample: None,
             backoff: false,
             retries: 0,
@@ -588,7 +585,7 @@ impl TcpSocket {
             if let Some((end_seq, sent_at)) = self.rtt_sample {
                 if ack.after_eq(end_seq) {
                     if !self.backoff {
-                        self.update_rtt(now.saturating_since(sent_at));
+                        self.rtt.sample(now.saturating_since(sent_at));
                     }
                     self.rtt_sample = None;
                 }
@@ -634,7 +631,7 @@ impl TcpSocket {
             }
             // retransmission timer
             if self.snd_nxt.after(self.snd_una) || self.fin_unacked() {
-                self.rto_deadline = Some(now + self.rto);
+                self.rto_deadline = Some(now + self.rtt.rto());
             } else {
                 self.rto_deadline = None;
             }
@@ -685,7 +682,7 @@ impl TcpSocket {
         self.ssthresh = st.ssthresh;
         self.dup_acks = 0;
         self.retransmit_one(now, ev);
-        self.rto_deadline = Some(now + self.rto);
+        self.rto_deadline = Some(now + self.rtt.rto());
     }
 
     fn process_payload(
@@ -833,7 +830,7 @@ impl TcpSocket {
             if wnd_left == 0 {
                 if self.snd_wnd == 0 && self.probe_deadline.is_none() {
                     // peer closed its window: arm the persist timer
-                    self.probe_deadline = Some(now + self.rto.max(self.cfg.rto_min));
+                    self.probe_deadline = Some(now + self.rtt.rto().max(self.cfg.rto_min));
                 }
                 break;
             }
@@ -882,7 +879,7 @@ impl TcpSocket {
                 self.emit(h, &[], ev);
                 self.note_ack_sent();
                 if self.rto_deadline.is_none() {
-                    self.rto_deadline = Some(now + self.rto);
+                    self.rto_deadline = Some(now + self.rtt.rto());
                 }
             }
         }
@@ -910,7 +907,7 @@ impl TcpSocket {
         self.emit(h, &payload, ev);
         self.note_ack_sent();
         if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
+            self.rto_deadline = Some(now + self.rtt.rto());
         }
     }
 
@@ -1035,7 +1032,7 @@ impl TcpSocket {
             return;
         }
         // exponential backoff, Karn phase
-        self.rto = (self.rto * 2).min(self.cfg.rto_max);
+        self.rtt.back_off();
         self.backoff = true;
         self.rtt_sample = None;
         let mss = self.effective_mss() as u32;
@@ -1046,7 +1043,7 @@ impl TcpSocket {
         self.ssthresh = st.ssthresh;
         self.dup_acks = 0;
         self.retransmit_one(now, ev);
-        self.rto_deadline = Some(now + self.rto);
+        self.rto_deadline = Some(now + self.rtt.rto());
     }
 
     fn send_window_probe(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
@@ -1067,30 +1064,11 @@ impl TcpSocket {
         self.emit(h, &payload, ev);
         self.note_ack_sent();
         // persist backoff
-        self.rto = (self.rto * 2).min(self.cfg.rto_max);
-        self.probe_deadline = Some(now + self.rto);
+        self.rtt.back_off();
+        self.probe_deadline = Some(now + self.rtt.rto());
         if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
+            self.rto_deadline = Some(now + self.rtt.rto());
         }
-    }
-
-    fn update_rtt(&mut self, sample: SimDuration) {
-        let r = sample.as_nanos() as i64;
-        match self.srtt_ns {
-            None => {
-                self.srtt_ns = Some(r);
-                self.rttvar_ns = r / 2;
-            }
-            Some(srtt) => {
-                let err = r - srtt;
-                self.srtt_ns = Some(srtt + err / 8);
-                self.rttvar_ns += (err.abs() - self.rttvar_ns) / 4;
-            }
-        }
-        let rto_ns = self.srtt_ns.unwrap_or(0) + 4 * self.rttvar_ns;
-        self.rto = SimDuration::from_nanos(rto_ns.max(0) as u64)
-            .max(self.cfg.rto_min)
-            .min(self.cfg.rto_max);
     }
 
     // ------------------------------------------------------------------
@@ -1206,7 +1184,7 @@ impl TcpSocket {
             self.note_ack_sent();
         }
         if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
+            self.rto_deadline = Some(now + self.rtt.rto());
         }
     }
 

@@ -14,11 +14,14 @@
 //!    still completes every epoch with the right value, and the
 //!    engine's retransmit/straggler counters show the recovery path
 //!    actually ran.
+//! 4. **Measured timeout** — round trips well past the 2 ms floor
+//!    cost retransmits only until the RTO estimator has a clean
+//!    sample.
 
 use nectar::collective::{deploy_barrier_fleet, CollectiveGroup, MulticastRoot, MulticastSink};
 use nectar::config::Config;
 use nectar::fault::{FaultScript, LinkPlan};
-use nectar::topology::Topology;
+use nectar::topology::{ClosSpec, Topology};
 use nectar::world::World;
 use nectar_sim::{MetricsSnapshot, SimDuration, SimTime};
 use nectar_wire::collective::CombineOp;
@@ -215,4 +218,60 @@ fn collective_runs_are_deterministic() {
         world.metrics_json()
     };
     assert!(run() == run(), "same-seed collective rerun diverged");
+}
+
+/// A 256-member chain on a three-stage Clos, on the default engine.
+/// Member *k* waits ~87 µs × *k* between its Arrive and its release,
+/// so most round trips run from past `RTO_MIN` up to ~22 ms. Epoch 0
+/// retransmits and backs off; a member whose round trip outlasts one
+/// doubling times out once more in epoch 1 (Karn's rule gave it no
+/// sample yet). From then on every member has a clean sample and the
+/// measured RTO never fires again, with no epoch abandoned.
+///
+/// Retransmits are read at each epoch boundary: when the last member
+/// (the chain's tail) completes epoch *e*, no epoch-*e*+1 Arrive has
+/// been sent yet — the tail sends the first one.
+#[test]
+fn measured_rto_stops_retransmitting_past_the_floor() {
+    let topo = Topology::folded_clos(&ClosSpec::for_cabs(256));
+    let (mut world, mut sim) = World::new(Config::default(), topo);
+    let group = CollectiveGroup::chain(4, (0..256).collect());
+    let epochs = 6u32;
+    let handles =
+        deploy_barrier_fleet(&mut world, &group, CombineOp::Sum, epochs, |i| i as u64 + 1);
+
+    let retransmits = |world: &World| -> u64 {
+        group
+            .members
+            .iter()
+            .map(|&m| world.cabs[m as usize].proto.coll.stats().arrive_retransmits)
+            .sum()
+    };
+    // cumulative retransmits at the end of each epoch
+    let mut by_epoch = Vec::new();
+    let mut now = SimTime::ZERO;
+    while by_epoch.len() < epochs as usize && now < deadline(1_000) {
+        now += SimDuration::from_micros(100);
+        world.run_until(&mut sim, now);
+        let done = handles.iter().map(|h| h.completions.get()).min().unwrap();
+        while (by_epoch.len() as u64) < done {
+            by_epoch.push(retransmits(&world));
+        }
+    }
+
+    for (i, h) in handles.iter().enumerate() {
+        assert!(!h.failed.get(), "member {i} gave up");
+        assert!(h.done.get(), "member {i} never finished");
+        assert_eq!(h.last_value.get(), 256 * 257 / 2, "member {i} reduced wrong value");
+    }
+    assert!(by_epoch[0] > 0, "no round trip outgrew RTO_MIN: the test proves nothing");
+    assert!(
+        by_epoch[1] - by_epoch[0] < by_epoch[0],
+        "epoch 1 did not profit from epoch 0's backoff: {by_epoch:?}"
+    );
+    assert!(
+        by_epoch[2..].iter().all(|&r| r == by_epoch[1]),
+        "retransmits after every member's first clean sample: {by_epoch:?}"
+    );
+    assert_eq!(world.metrics().get("net/collective/failures"), Some(0));
 }
